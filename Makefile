@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint bench bench-smoke clean
+.PHONY: all build test race determinism vet lint bench bench-smoke clean
 
 all: build test vet lint
 
@@ -14,6 +14,12 @@ test:
 # experiment tests drive worker/tap/accumulator interleavings on purpose.
 race:
 	$(GO) test -race ./...
+
+# Repeated, shuffled runs of the packages that pin byte-identical output
+# or seq-vs-parallel equality, so a pin that depends on scheduling, test
+# order or the wall clock fails here instead of intermittently elsewhere.
+determinism:
+	$(GO) test -count=5 -shuffle=on ./cmd/dnsnoise-exp/ ./cmd/dnsnoise-mine/ ./internal/resolver/ ./internal/ingest/ ./internal/cache/
 
 vet:
 	$(GO) vet ./...

@@ -14,22 +14,21 @@ import (
 	"dnsnoise/internal/telemetry"
 )
 
-// cachePolicyCell is one (policy, capacity) cell of the cache-matrix
-// scenario: the slab cache driven directly — no resolver, no upstream — so
-// the numbers isolate the eviction policy and the timer wheel at capacity
-// scale. The same deterministic workload runs in every cell, so differences
-// between rows are attributable to the policy and capacity alone.
-type cachePolicyCell struct {
-	Policy   string  `json:"policy"`
+// cacheCell is one capacity row of the cache sweep: the slab LRU driven
+// directly — no resolver, no upstream — so the numbers isolate the
+// eviction order and the timer wheel at capacity scale. The same
+// deterministic workload runs in every row, so differences between rows
+// are attributable to capacity alone.
+type cacheCell struct {
 	Capacity int     `json:"capacity"`
 	Events   int     `json:"events"`
 	HitRate  float64 `json:"chr"`
-	// PrematureEvictionRate is live victims per policy eviction opportunity:
+	// PrematureEvictionRate is live victims per eviction opportunity:
 	// evictions / (evictions + reclaims) — how often capacity had to kill a
 	// live entry instead of the wheel harvesting a dead one.
 	PrematureEvictionRate float64 `json:"premature_eviction_rate"`
 	// DisposableVictimShare is the fraction of premature evictions whose
-	// victim was a disposable-tagged entry — high is good, the policy is
+	// victim was a disposable-tagged entry — high is good, the cache is
 	// sacrificing one-shot entries instead of the hot set.
 	DisposableVictimShare float64 `json:"disposable_victim_share"`
 	WheelReclaims         uint64  `json:"wheel_reclaims"`
@@ -74,10 +73,10 @@ type cacheBenchValue struct{ a, b uint64 }
 // Advance first, exactly like the resolver's serve path. The hot set is
 // sized from the event budget (capped at the capacity), so the sweep
 // crosses the interesting regimes: capacities below the hot set thrash and
-// the policies fight over which live entry to sacrifice, while capacities
-// above it evict only when live one-shots overflow — and the timer wheel
-// races the policy to harvest them dead first.
-func benchCacheCell(kind cache.PolicyKind, capacity, events int) cachePolicyCell {
+// evict live hot entries, while capacities above it evict only when live
+// one-shots overflow — and the timer wheel races eviction to harvest them
+// dead first.
+func benchCacheCell(capacity, events int) cacheCell {
 	t0 := time.Date(2011, 12, 1, 0, 0, 0, 0, time.UTC)
 	hotN := events / 8
 	if hotN < 1024 {
@@ -100,7 +99,7 @@ func benchCacheCell(kind cache.PolicyKind, capacity, events int) cachePolicyCell
 	runtime.GC()
 	var m0 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	c := cache.New[string, cacheBenchValue](capacity, kind)
+	c := cache.New[string, cacheBenchValue](capacity)
 
 	var (
 		shots int
@@ -132,8 +131,8 @@ func benchCacheCell(kind cache.PolicyKind, capacity, events int) cachePolicyCell
 	runtime.ReadMemStats(&m1)
 
 	// Steady-state hit cost: a resident long-TTL key resolved with the same
-	// Advance-then-Get shape as the timed loop. This is the per-policy
-	// zero-allocation contract the -max-hit-allocs gate enforces.
+	// Advance-then-Get shape as the timed loop. This is the zero-allocation
+	// contract the -max-hit-allocs gate enforces.
 	sentinel := "sentinel.bench.test"
 	c.Put(sentinel, v, time.Hour, cache.CategoryOther, now)
 	hitAllocs := testing.AllocsPerRun(1000, func() {
@@ -153,8 +152,7 @@ func benchCacheCell(kind cache.PolicyKind, capacity, events int) cachePolicyCell
 	premDisp = st.PrematureEvictions[cache.CategoryDisposable][cache.CategoryOther] +
 		st.PrematureEvictions[cache.CategoryDisposable][cache.CategoryDisposable]
 
-	cell := cachePolicyCell{
-		Policy:         kind.String(),
+	cell := cacheCell{
 		Capacity:       capacity,
 		Events:         events,
 		HitRate:        st.HitRate(),
@@ -177,54 +175,51 @@ func benchCacheCell(kind cache.PolicyKind, capacity, events int) cachePolicyCell
 	return cell
 }
 
-// benchCacheMatrix sweeps every eviction policy across the capacity list.
-func benchCacheMatrix(capacities []int, events int) []cachePolicyCell {
-	var cells []cachePolicyCell
+// benchCacheSweep runs one cell per capacity.
+func benchCacheSweep(capacities []int, events int) []cacheCell {
+	var cells []cacheCell
 	for _, capacity := range capacities {
-		for _, kind := range cache.Policies() {
-			cells = append(cells, benchCacheCell(kind, capacity, events))
-		}
+		cells = append(cells, benchCacheCell(capacity, events))
 	}
 	return cells
 }
 
-// printCacheMatrix renders the matrix on the stdout summary.
-func printCacheMatrix(cells []cachePolicyCell) {
+// printCacheSweep renders the sweep on the stdout summary.
+func printCacheSweep(cells []cacheCell) {
 	for _, c := range cells {
-		fmt.Printf("cache %7d %-5s %8.1f ns/op (%.1fM ops/s), chr %5.1f%%, premature %5.1f%% (disp share %5.1f%%), reclaims %d, %.0f B/entry, %.2f hit allocs\n",
-			c.Capacity, c.Policy, c.NsPerOp, c.OpsPerSec/1e6, 100*c.HitRate,
+		fmt.Printf("cache %7d %8.1f ns/op (%.1fM ops/s), chr %5.1f%%, premature %5.1f%% (disp share %5.1f%%), reclaims %d, %.0f B/entry, %.2f hit allocs\n",
+			c.Capacity, c.NsPerOp, c.OpsPerSec/1e6, 100*c.HitRate,
 			100*c.PrematureEvictionRate, 100*c.DisposableVictimShare,
 			c.WheelReclaims, c.BytesPerEntry, c.HitAllocsPerOp)
 	}
 }
 
-// checkCacheAllocGate enforces -max-hit-allocs on every cell of the matrix:
-// the zero-allocation steady-state contract holds under every policy, not
-// just the default.
-func checkCacheAllocGate(cells []cachePolicyCell, maxHitAllocs int64) error {
+// checkCacheAllocGate enforces -max-hit-allocs on every cell of the sweep:
+// the zero-allocation steady-state contract holds at every capacity.
+func checkCacheAllocGate(cells []cacheCell, maxHitAllocs int64) error {
 	if maxHitAllocs < 0 {
 		return nil
 	}
 	for _, c := range cells {
 		if int64(c.HitAllocsPerOp) > maxHitAllocs {
-			return fmt.Errorf("cache hit path allocates %.2f allocs/op under %s at capacity %d, -max-hit-allocs is %d",
-				c.HitAllocsPerOp, c.Policy, c.Capacity, maxHitAllocs)
+			return fmt.Errorf("cache hit path allocates %.2f allocs/op at capacity %d, -max-hit-allocs is %d",
+				c.HitAllocsPerOp, c.Capacity, maxHitAllocs)
 		}
 	}
 	return nil
 }
 
-// runCacheOnly is the -only cache mode: just the policy × capacity matrix
-// and its per-policy allocation gate, sized for CI smoke via -cache-events.
+// runCacheOnly is the -only cache mode: just the capacity sweep and its
+// allocation gate, sized for CI smoke via -cache-events.
 func runCacheOnly(args []string, out string, capacities []int, events int, maxHitAllocs int64) error {
 	tracer := telemetry.NewTracer()
-	span := tracer.Start("cache-matrix")
-	cells := benchCacheMatrix(capacities, events)
+	span := tracer.Start("cache-sweep")
+	cells := benchCacheSweep(capacities, events)
 	span.End()
 
 	rep := report{RunReport: *telemetry.NewRunReport("dnsnoise-bench", args)}
 	rep.Queries = events
-	rep.CacheMatrix = cells
+	rep.CacheSweep = cells
 	rep.Start = tracer.Roots()[0].Start
 	rep.Finish(nil, tracer)
 
@@ -241,7 +236,7 @@ func runCacheOnly(args []string, out string, capacities []int, events int, maxHi
 		if err := os.WriteFile(out, data, 0o644); err != nil {
 			return err
 		}
-		printCacheMatrix(cells)
+		printCacheSweep(cells)
 		fmt.Printf("wrote %s\n", out)
 	}
 	return checkCacheAllocGate(cells, maxHitAllocs)

@@ -131,13 +131,13 @@ type report struct {
 	// covers the scoring serve path.
 	ServePacketAlloc       *servePacketAlloc `json:"serve_packet_alloc,omitempty"`
 	ServePacketAllocScored *servePacketAlloc `json:"serve_packet_alloc_scored,omitempty"`
-	// CacheMatrix is the eviction-policy × capacity sweep over the slab
-	// cache itself (see cache.go): CHR, premature-eviction rate,
-	// disposable-victim share, throughput, bytes/entry, and the per-policy
-	// steady-state allocation reading behind -max-hit-allocs.
-	CacheMatrix []cachePolicyCell `json:"cache_policies,omitempty"`
-	Note        string            `json:"note,omitempty"`
-	Extra       []benchResult     `json:"extra,omitempty"`
+	// CacheSweep is the capacity sweep over the slab cache itself (see
+	// cache.go): CHR, premature-eviction rate, disposable-victim share,
+	// throughput, bytes/entry, and the steady-state allocation reading
+	// behind -max-hit-allocs.
+	CacheSweep []cacheCell   `json:"cache_capacities,omitempty"`
+	Note       string        `json:"note,omitempty"`
+	Extra      []benchResult `json:"extra,omitempty"`
 }
 
 func main() {
@@ -710,8 +710,8 @@ func run(args []string) error {
 		baseline = fs.String("baseline", "", "previous BENCH_resolver.json to embed as a before/after comparison")
 		maxHitAl = fs.Int64("max-hit-allocs", 0, "fail when the cache-hit path exceeds this many allocs/op (-1 disables the gate)")
 		only     = fs.String("only", "", "run a single scenario ('serve') instead of the full suite")
-		cacheCap = fs.String("cache-capacities", "4096,65536,1048576", "capacities for the cache policy matrix, comma-separated")
-		cacheEv  = fs.Int("cache-events", 500_000, "workload events per cell of the cache policy matrix")
+		cacheCap = fs.String("cache-capacities", "4096,65536,1048576", "capacities for the cache sweep, comma-separated")
+		cacheEv  = fs.Int("cache-events", 500_000, "workload events per capacity of the cache sweep")
 		srvCli   = fs.Int("serve-clients", 8, "concurrent client goroutines in the serve-throughput scenario")
 		srvDur   = fs.Duration("serve-duration", time.Second, "flood duration per serve-throughput matrix cell")
 		srvBatch = fs.Int("serve-batch", udptransport.DefaultBatch, "batch size for the batched-syscall cells of the serve matrix")
@@ -826,8 +826,8 @@ func run(args []string) error {
 	}
 	tsSpan.End()
 
-	cacheSpan := tracer.Start("cache-matrix")
-	cacheCells := benchCacheMatrix(capacities, *cacheEv)
+	cacheSpan := tracer.Start("cache-sweep")
+	cacheCells := benchCacheSweep(capacities, *cacheEv)
 	cacheSpan.End()
 
 	srcSpan := tracer.Start("sources")
@@ -877,7 +877,7 @@ func run(args []string) error {
 	rep.ServeThroughput = serveMatrix
 	rep.ServePacketAlloc = &pktAlloc
 	rep.ServePacketAllocScored = &pktAllocScored
-	rep.CacheMatrix = cacheCells
+	rep.CacheSweep = cacheCells
 	if *baseline != "" {
 		cmp, err := loadBaseline(*baseline)
 		if err != nil {
@@ -942,7 +942,7 @@ func run(args []string) error {
 			tsOverhead.OverheadPct, tsOverhead.NoisePct,
 			tsOverhead.PlainNsPerOp, tsOverhead.InstrumentedNsPerOp, tsOverhead.Pairs)
 		printServe(rep.ServeThroughput, rep.ServePacketAlloc, rep.ServePacketAllocScored)
-		printCacheMatrix(rep.CacheMatrix)
+		printCacheSweep(rep.CacheSweep)
 		for _, r := range rep.Extra {
 			fmt.Printf("%-32s %8.1f ns/op (%.0f events/s)\n", r.Name+":", r.NsPerOp, r.QueriesPerSec)
 		}

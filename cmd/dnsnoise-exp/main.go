@@ -20,7 +20,6 @@ import (
 	"sync"
 	"time"
 
-	"dnsnoise/internal/cache"
 	"dnsnoise/internal/experiments"
 	"dnsnoise/internal/qlog"
 	"dnsnoise/internal/telemetry"
@@ -119,10 +118,6 @@ func catalog() []experiment {
 			r, err := experiments.CachePressure(s, nil)
 			return render(out, r, err)
 		}},
-		{id: "cache-policy", about: "Section VI-A impact analysis under LRU/SIEVE/CLOCK", run: func(s experiments.Scale, out io.Writer) error {
-			r, err := experiments.CachePolicySweep(s)
-			return render(out, r, err)
-		}},
 		{id: "dnssec", about: "Section VI-B DNSSEC validation load", run: func(s experiments.Scale, out io.Writer) error {
 			r, err := experiments.DNSSECLoad(s)
 			return render(out, r, err)
@@ -182,8 +177,6 @@ func run(args []string, stdout io.Writer) error {
 		list     = fs.Bool("list", false, "list experiment ids and exit")
 		seed     = fs.Int64("seed", 0, "override the scale's seed (0 keeps the default)")
 		parallel = fs.Int("parallel", 1, "run up to N experiments concurrently (each builds its own environment)")
-		policy   = fs.String("cache-policy", "lru", "cache eviction policy: lru, sieve, or clock")
-		negSize  = fs.Int("neg-cache-size", 0, "negative-cache entries per server (0 keeps cache-size/4)")
 	)
 	var tcfg telemetry.CLIConfig
 	tcfg.RegisterFlags(fs)
@@ -214,14 +207,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *seed != 0 {
 		sc.Seed = *seed
-	}
-	pk, err := cache.ParsePolicy(*policy)
-	if err != nil {
-		return err
-	}
-	sc.CachePolicy = pk
-	if *negSize > 0 {
-		sc.NegCacheSize = *negSize
 	}
 
 	var selected []experiment
@@ -281,7 +266,8 @@ func run(args []string, stdout io.Writer) error {
 			}
 			sp.End()
 			completed.Inc()
-			fmt.Fprintf(stdout, "(%s in %.1fs)\n\n", e.id, time.Since(start).Seconds())
+			fmt.Fprintln(stdout)
+			logElapsed(e.id, start)
 		}
 		if err := qs.Close(); err != nil {
 			return fmt.Errorf("qlog: %w", err)
@@ -315,7 +301,8 @@ func run(args []string, stdout io.Writer) error {
 			}
 			sp.End()
 			completed.Inc()
-			fmt.Fprintf(&reports[i].buf, "(%s in %.1fs)\n\n", e.id, time.Since(start).Seconds())
+			fmt.Fprintln(&reports[i].buf)
+			logElapsed(e.id, start)
 		}(i, e)
 	}
 	wg.Wait()
@@ -331,4 +318,10 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("qlog: %w", err)
 	}
 	return sess.Close()
+}
+
+// logElapsed reports an experiment's wall-clock time on stderr, keeping
+// stdout a pure function of the scale and seed.
+func logElapsed(id string, start time.Time) {
+	fmt.Fprintf(os.Stderr, "(%s in %.1fs)\n", id, time.Since(start).Seconds())
 }

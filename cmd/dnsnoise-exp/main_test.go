@@ -16,7 +16,7 @@ func TestRunList(t *testing.T) {
 	got := out.String()
 	for _, id := range []string{
 		"fig2", "fig3a", "fig3b", "fig4", "fig5", "fig7", "fig11", "fig12",
-		"fig13", "fig14", "fig15", "table1", "table2", "cache", "cache-policy",
+		"fig13", "fig14", "fig15", "table1", "table2", "cache",
 		"dnssec", "mitigation", "crossnet", "renewal", "taxonomy", "baseline",
 		"clients", "ablation-features", "ablation-cache",
 	} {

@@ -37,7 +37,6 @@ import (
 	"strings"
 	"time"
 
-	"dnsnoise/internal/cache"
 	"dnsnoise/internal/core"
 	"dnsnoise/internal/fleet"
 	"dnsnoise/internal/ingest"
@@ -82,8 +81,6 @@ func run(args []string, stdout io.Writer) error {
 		maxHosts  = fs.Int("hosts-per-zone", 128, "host pool cap (must match)")
 		servers   = fs.Int("servers", 4, "RDNS servers per PoP")
 		cacheSz   = fs.Int("cache", 1<<16, "per-server cache entries")
-		cachePol  = fs.String("cache-policy", "lru", "cache eviction policy: lru, sieve, or clock")
-		negSz     = fs.Int("neg-cache-size", 0, "negative-cache entries per server (0 keeps cache/4)")
 		parallel  = fs.Bool("parallel", false, "resolve through per-server resolver workers in each PoP")
 
 		score    = fs.Bool("score", false, "train a classifier on a single-cluster pre-pass, then run the incremental miner in every PoP")
@@ -107,19 +104,13 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	policy, err := cache.ParsePolicy(*cachePol)
-	if err != nil {
-		return err
-	}
 
 	cfg := fleet.Config{
-		Pops:         *pops,
-		Steering:     steer,
-		Servers:      *servers,
-		Cache:        *cacheSz,
-		CachePolicy:  policy,
-		NegCacheSize: *negSz,
-		Parallel:     *parallel,
+		Pops:     *pops,
+		Steering: steer,
+		Servers:  *servers,
+		Cache:    *cacheSz,
+		Parallel: *parallel,
 		Registry: workload.RegistryConfig{
 			Seed:               *seed,
 			NonDisposableZones: *ndZones,

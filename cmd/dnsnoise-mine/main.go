@@ -28,7 +28,6 @@ import (
 	"strings"
 	"time"
 
-	"dnsnoise/internal/cache"
 	"dnsnoise/internal/chrstat"
 	"dnsnoise/internal/core"
 	"dnsnoise/internal/ingest"
@@ -84,8 +83,6 @@ func run(args []string, stdout io.Writer) error {
 		maxHosts  = fs.Int("hosts-per-zone", 128, "host pool cap (must match)")
 		servers   = fs.Int("servers", 4, "RDNS servers in the cluster")
 		cacheSz   = fs.Int("cache", 1<<16, "per-server cache entries")
-		cachePol  = fs.String("cache-policy", "lru", "cache eviction policy: lru, sieve, or clock")
-		negSz     = fs.Int("neg-cache-size", 0, "negative-cache entries per server (0 keeps cache/4)")
 		theta     = fs.Float64("theta", 0.9, "classification threshold")
 		top       = fs.Int("top", 25, "findings to print")
 		parallel  = fs.Bool("parallel", false, "resolve through per-server resolver workers (one goroutine per simulated server)")
@@ -112,10 +109,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *tracePath != "" && *live {
 		return fmt.Errorf("-trace and -live are mutually exclusive")
-	}
-	policy, err := cache.ParsePolicy(*cachePol)
-	if err != nil {
-		return err
 	}
 	if *keepWin < 0 {
 		return fmt.Errorf("-keep-windows must be >= 0")
@@ -161,7 +154,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	cluster, err := resolver.NewCluster(auth,
 		resolver.WithServers(*servers), resolver.WithCacheSize(*cacheSz),
-		resolver.WithCachePolicy(policy), resolver.WithNegCacheSize(*negSz),
 		resolver.WithTelemetry(sess.Registry),
 		resolver.WithQueryLog(qs.Log()))
 	if err != nil {
@@ -316,7 +308,6 @@ func run(args []string, stdout io.Writer) error {
 			tracePath: *tracePath, live: *live, profileNm: *profileNm, days: *days,
 			events: *events, clients: *clients, seed: *seed, ndZones: *ndZones,
 			dispZn: *dispZn, maxHosts: *maxHosts, servers: *servers, cacheSz: *cacheSz,
-			cachePolicy: policy, negCacheSz: *negSz,
 			parallel: *parallel,
 			clf:      clf, theta: *theta, window: *window, hysteresis: *hyster,
 			keepWindows: *keepWin,

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"dnsnoise/internal/cache"
 	"dnsnoise/internal/core"
 	"dnsnoise/internal/ingest"
 	"dnsnoise/internal/mlearn"
@@ -19,21 +18,19 @@ import (
 // rebuild the exact same query stream the batch phase consumed and drive
 // it through the incremental miner.
 type streamingPass struct {
-	tracePath   string
-	live        bool
-	profileNm   string
-	days        int
-	events      int
-	clients     int
-	seed        int64
-	ndZones     int
-	dispZn      int
-	maxHosts    int
-	servers     int
-	cacheSz     int
-	cachePolicy cache.PolicyKind
-	negCacheSz  int
-	parallel    bool
+	tracePath string
+	live      bool
+	profileNm string
+	days      int
+	events    int
+	clients   int
+	seed      int64
+	ndZones   int
+	dispZn    int
+	maxHosts  int
+	servers   int
+	cacheSz   int
+	parallel  bool
 
 	clf         *mlearn.DecisionTree
 	theta       float64
@@ -67,8 +64,7 @@ func (p *streamingPass) run(stdout io.Writer) error {
 		return fmt.Errorf("streaming: rebuild authority: %w", err)
 	}
 	cluster, err := resolver.NewCluster(auth,
-		resolver.WithServers(p.servers), resolver.WithCacheSize(p.cacheSz),
-		resolver.WithCachePolicy(p.cachePolicy), resolver.WithNegCacheSize(p.negCacheSz))
+		resolver.WithServers(p.servers), resolver.WithCacheSize(p.cacheSz))
 	if err != nil {
 		return err
 	}

@@ -21,7 +21,6 @@ import (
 	"strings"
 	"time"
 
-	"dnsnoise/internal/cache"
 	"dnsnoise/internal/chrstat"
 	"dnsnoise/internal/core"
 	"dnsnoise/internal/ingest"
@@ -55,8 +54,6 @@ func run(args []string, stdout io.Writer) error {
 		maxHosts  = fs.Int("hosts-per-zone", 128, "host pool cap (must match)")
 		servers   = fs.Int("servers", 4, "RDNS servers in the cluster")
 		cacheSz   = fs.Int("cache", 1<<16, "per-server cache entries")
-		cachePol  = fs.String("cache-policy", "lru", "cache eviction policy: lru, sieve, or clock")
-		negSz     = fs.Int("neg-cache-size", 0, "negative-cache entries per server (0 keeps cache/4)")
 		collapse  = fs.Bool("collapse", false, "mine the stream and apply the wildcard-collapse mitigation")
 		theta     = fs.Float64("theta", 0.9, "mining threshold for -collapse")
 		fpOut     = fs.String("fpdns", "", "also dump the full fpDNS tuple stream (JSONL) to this file")
@@ -69,10 +66,6 @@ func run(args []string, stdout io.Writer) error {
 	var acfg alerts.CLIConfig
 	acfg.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	policy, err := cache.ParsePolicy(*cachePol)
-	if err != nil {
 		return err
 	}
 	if *explain != "" && !*collapse {
@@ -115,7 +108,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	cluster, err := resolver.NewCluster(auth,
 		resolver.WithServers(*servers), resolver.WithCacheSize(*cacheSz),
-		resolver.WithCachePolicy(policy), resolver.WithNegCacheSize(*negSz),
 		resolver.WithTelemetry(sess.Registry),
 		resolver.WithQueryLog(qs.Log()))
 	if err != nil {

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"dnsnoise/internal/authority"
-	"dnsnoise/internal/cache"
 	"dnsnoise/internal/qlog"
 	"dnsnoise/internal/telemetry"
 	"dnsnoise/internal/telemetry/alerts"
@@ -52,8 +51,6 @@ func run(args []string) error {
 	fs.Float64Var(&score.theta, "theta", 0.9, "classification threshold for -score")
 	fs.DurationVar(&score.window, "window", 30*time.Second, "wall-clock re-score interval for -score (0 = intake only, never re-score)")
 	fs.IntVar(&score.hysteresis, "hysteresis", 2, "consecutive re-score windows required to flip a zone's verdict")
-	cachePol := fs.String("cache-policy", "lru", "eviction policy for the -score training cluster: lru, sieve, or clock")
-	fs.IntVar(&score.negCacheSize, "neg-cache-size", 0, "negative-cache entries per -score training server (0 keeps cache/4)")
 	var tcfg telemetry.CLIConfig
 	tcfg.RegisterFlags(fs)
 	var qcfg qlog.CLIConfig
@@ -63,11 +60,6 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	policy, err := cache.ParsePolicy(*cachePol)
-	if err != nil {
-		return err
-	}
-	score.cachePolicy = policy
 	sess, err := tcfg.Start("dnsnoise-serve", args)
 	if err != nil {
 		return err

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"dnsnoise/internal/authority"
-	"dnsnoise/internal/cache"
 	"dnsnoise/internal/chrstat"
 	"dnsnoise/internal/core"
 	"dnsnoise/internal/features"
@@ -27,12 +26,10 @@ const (
 
 // scoreConfig carries the -score flag family.
 type scoreConfig struct {
-	enabled      bool
-	theta        float64
-	window       time.Duration
-	hysteresis   int
-	cachePolicy  cache.PolicyKind
-	negCacheSize int
+	enabled    bool
+	theta      float64
+	window     time.Duration
+	hysteresis int
 }
 
 // buildScoring boots live scoring for the serve path: it simulates one
@@ -53,8 +50,6 @@ func buildScoring(reg *workload.Registry, auth *authority.Server, seed int64, cf
 	// resolver side of -score alongside the UDP counters.
 	cluster, err := resolver.NewCluster(auth,
 		resolver.WithServers(2), resolver.WithCacheSize(1<<14),
-		resolver.WithCachePolicy(cfg.cachePolicy),
-		resolver.WithNegCacheSize(cfg.negCacheSize),
 		resolver.WithTelemetry(treg))
 	if err != nil {
 		return nil, fmt.Errorf("score: training cluster: %w", err)

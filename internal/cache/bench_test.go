@@ -7,7 +7,7 @@ import (
 )
 
 func BenchmarkPutGet(b *testing.B) {
-	c := NewLRU[string, int](1 << 14)
+	c := New[string, int](1 << 14)
 	now := time.Date(2011, 12, 1, 0, 0, 0, 0, time.UTC)
 	keys := make([]string, 1<<15)
 	for i := range keys {
@@ -24,7 +24,7 @@ func BenchmarkPutGet(b *testing.B) {
 }
 
 func BenchmarkEvictionChurn(b *testing.B) {
-	c := NewLRU[string, int](256)
+	c := New[string, int](256)
 	now := time.Date(2011, 12, 1, 0, 0, 0, 0, time.UTC)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -9,16 +9,16 @@
 //
 // The implementation is a slab-backed intrusive structure: entry payloads
 // live in a contiguous arena, with a map from key to slot index. Two
-// parallel link arenas thread through the slab: the eviction-policy order
-// (policy.go — LRU by default, SIEVE or CLOCK selectable at construction)
-// and the TTL timer wheel (wheel.go), which files every entry into a bucket
-// for its expiry second so Advance reclaims whole buckets of dead entries
-// without scanning live ones. Steady-state operation — hits, refreshes,
-// reclaim, and evict-then-insert churn once the slab has grown to capacity —
-// performs no heap allocation: there is no per-entry *list.Element, no
-// boxing of values into interface{}, and every structural move touches only
-// a handful of int32 links. Keys and values are typed via generics, so
-// callers pay neither an allocation nor a type assertion per operation.
+// parallel link arenas thread through the slab: the least-recently-used
+// order, whose tail is always the eviction victim, and the TTL timer wheel
+// (wheel.go), which files every entry into a bucket for its expiry second
+// so Advance reclaims whole buckets of dead entries without scanning live
+// ones. Steady-state operation — hits, refreshes, reclaim, and
+// evict-then-insert churn once the slab has grown to capacity — performs no
+// heap allocation: there is no per-entry *list.Element, no boxing of values
+// into interface{}, and every structural move touches only a handful of
+// int32 links. Keys and values are typed via generics, so callers pay
+// neither an allocation nor a type assertion per operation.
 package cache
 
 import (
@@ -56,7 +56,7 @@ type Entry[K comparable, V any] struct {
 	Category Category
 }
 
-// Stats counts cache events. PrematureEvictions counts policy evictions of
+// Stats counts cache events. PrematureEvictions counts LRU evictions of
 // entries that had NOT yet expired, split by the category of the victim and
 // of the entry whose insertion forced the eviction.
 type Stats struct {
@@ -64,7 +64,7 @@ type Stats struct {
 	Misses     uint64
 	Expiries   uint64 // lookups that found only an expired entry
 	Insertions uint64
-	Evictions  uint64 // all policy evictions (live victims only)
+	Evictions  uint64 // all LRU evictions (live victims only)
 	Reclaims   uint64 // expired entries reclaimed by the timer wheel (Advance)
 	// PrematureEvictions[victim][inserter]
 	PrematureEvictions [2][2]uint64
@@ -96,7 +96,7 @@ type counters struct {
 const nilIdx int32 = -1
 
 // slot is one arena cell: the entry payload. The ordering and expiry links
-// for a slot live at the same index in the policy order and timer wheel
+// for a slot live at the same index in the recency order and timer wheel
 // arenas, kept outside the generic payload so those structures are shared,
 // non-generic code.
 type slot[K comparable, V any] struct {
@@ -106,9 +106,8 @@ type slot[K comparable, V any] struct {
 	category Category
 }
 
-// LRU is a fixed-capacity cache with per-entry TTL and a pluggable eviction
-// policy (the type name predates the policy seam; the default policy is
-// LRU). Structural operations (Get/Put/Remove/Advance) are not safe for
+// LRU is a fixed-capacity cache with per-entry TTL and least-recently-used
+// eviction. Structural operations (Get/Put/Remove/Advance) are not safe for
 // concurrent use — each simulated server owns one — but Len, LiveLen,
 // Capacity, Stats and CategoryCounts are safe to call from other goroutines
 // while the owner works.
@@ -117,7 +116,6 @@ type LRU[K comparable, V any] struct {
 	slab     []slot[K, V]
 	index    map[K]int32
 	ord      order
-	pol      Policy
 	whl      wheel
 	free     int32 // head of the free-slot chain (linked via ord.next)
 	stats    counters
@@ -128,28 +126,22 @@ type LRU[K comparable, V any] struct {
 	catCount [2]atomic.Int64
 }
 
-// New returns a cache holding at most capacity entries, evicting with the
-// given policy. capacity < 1 is promoted to 1. The entry arena grows
-// geometrically up to capacity on first use and is never released, so
-// steady-state operation allocates nothing.
-func New[K comparable, V any](capacity int, policy PolicyKind) *LRU[K, V] {
+// New returns a cache holding at most capacity entries. capacity < 1 is
+// promoted to 1. The entry arena grows geometrically up to capacity on
+// first use and is never released, so steady-state operation allocates
+// nothing.
+func New[K comparable, V any](capacity int) *LRU[K, V] {
 	if capacity < 1 {
 		capacity = 1
 	}
 	c := &LRU[K, V]{
 		capacity: capacity,
 		index:    make(map[K]int32, capacity),
-		ord:      newOrder(),
-		pol:      policyFor(policy),
+		ord:      order{head: nilIdx, tail: nilIdx},
 		free:     nilIdx,
 	}
 	c.whl.init()
 	return c
-}
-
-// NewLRU returns a cache with the default (LRU) eviction policy.
-func NewLRU[K comparable, V any](capacity int) *LRU[K, V] {
-	return New[K, V](capacity, PolicyLRU)
 }
 
 // Len returns the number of entries currently stored, including any that
@@ -205,9 +197,6 @@ func (c *LRU[K, V]) LiveLen() int {
 
 // Capacity returns the configured maximum entry count.
 func (c *LRU[K, V]) Capacity() int { return c.capacity }
-
-// Policy returns the eviction policy the cache was built with.
-func (c *LRU[K, V]) Policy() PolicyKind { return c.pol.Kind() }
 
 // Stats returns a copy of the event counters.
 func (c *LRU[K, V]) Stats() Stats {
@@ -270,11 +259,10 @@ func (c *LRU[K, V]) Advance(now time.Time) {
 }
 
 // Get looks up key at instant now. A present, unexpired entry counts as a
-// hit and is reported to the eviction policy (LRU promotes it; SIEVE/CLOCK
-// set its reference bit). A present but expired entry is removed, counted
-// as an expiry AND a miss (the resolver must re-fetch) — this lazy check
-// backstops the wheel for the in-progress second and for callers that never
-// Advance.
+// hit and is promoted to most recently used. A present but expired entry is
+// removed, counted as an expiry AND a miss (the resolver must re-fetch) —
+// this lazy check backstops the wheel for the in-progress second and for
+// callers that never Advance.
 func (c *LRU[K, V]) Get(key K, now time.Time) (V, bool) {
 	c.whl.observe(now)
 	var zero V
@@ -290,7 +278,7 @@ func (c *LRU[K, V]) Get(key K, now time.Time) (V, bool) {
 		c.stats.misses.Add(1)
 		return zero, false
 	}
-	c.pol.touch(&c.ord, i)
+	c.ord.moveToFront(i)
 	c.stats.hits.Add(1)
 	return s.value, true
 }
@@ -311,15 +299,15 @@ func (c *LRU[K, V]) Peek(key K) (Entry[K, V], bool) {
 // event log. The zero value means the insertion evicted nothing (the
 // cache had room, or the key was refreshed in place).
 type Eviction struct {
-	Evicted   bool     // a policy victim was removed to make room
+	Evicted   bool     // the LRU victim was removed to make room
 	Premature bool     // the victim had not yet expired
 	Victim    Category // the victim's category (meaningful when Evicted)
 }
 
 // Put inserts or refreshes key with the given value, TTL and category.
-// When the cache is full, the eviction policy picks a victim; if that
-// victim had not yet expired the eviction is counted as premature, attributed
-// to the inserting entry's category.
+// When the cache is full, the least recently used entry is the victim; if
+// that victim had not yet expired the eviction is counted as premature,
+// attributed to the inserting entry's category.
 func (c *LRU[K, V]) Put(key K, value V, ttl time.Duration, cat Category, now time.Time) {
 	c.put(key, value, ttl, cat, now, false)
 }
@@ -329,12 +317,11 @@ func (c *LRU[K, V]) PutEv(key K, value V, ttl time.Duration, cat Category, now t
 	return c.put(key, value, ttl, cat, now, false)
 }
 
-// PutLowPriority inserts key at the cold end of the eviction order: under
-// the default LRU policy it is the next eviction victim and can never push
-// out another live entry (the eviction mitigation of paper Section VI-A —
-// disposable answers are cached, but at the lowest priority). SIEVE and
-// CLOCK honor the cold placement but their scan state may examine other
-// entries first. Refreshing an existing entry keeps it cold.
+// PutLowPriority inserts key at the cold end of the recency order: it is
+// the next eviction victim and can never push out another live entry (the
+// eviction mitigation of paper Section VI-A — disposable answers are
+// cached, but at the lowest priority). Refreshing an existing entry keeps
+// it cold.
 func (c *LRU[K, V]) PutLowPriority(key K, value V, ttl time.Duration, cat Category, now time.Time) {
 	c.put(key, value, ttl, cat, now, true)
 }
@@ -363,7 +350,11 @@ func (c *LRU[K, V]) put(key K, value V, ttl time.Duration, cat Category, now tim
 		s.value = value
 		s.expires = expires
 		s.category = cat
-		c.pol.refresh(&c.ord, i, low)
+		if low {
+			c.ord.moveToBack(i)
+		} else {
+			c.ord.moveToFront(i)
+		}
 		w.unfile(i)
 		w.file(i, w.tickOf(expires))
 		return Eviction{}
@@ -378,7 +369,11 @@ func (c *LRU[K, V]) put(key K, value V, ttl time.Duration, cat Category, now tim
 	s.value = value
 	s.expires = expires
 	s.category = cat
-	c.pol.insert(&c.ord, i, low)
+	if low {
+		c.ord.pushBack(i)
+	} else {
+		c.ord.pushFront(i)
+	}
 	w.file(i, w.tickOf(expires))
 	c.index[key] = i
 	c.size.Add(1)
@@ -396,12 +391,12 @@ func (c *LRU[K, V]) Remove(key K) bool {
 	return true
 }
 
-// evictOldest removes the policy's victim to make room for an insertion by
-// category inserter. Expired victims are reclaimed silently; live victims
-// count as (premature) evictions. Either way the removal is reported so
-// the query log can attribute eviction causes per query.
+// evictOldest removes the least recently used entry to make room for an
+// insertion by category inserter. Expired victims are reclaimed silently;
+// live victims count as (premature) evictions. Either way the removal is
+// reported so the query log can attribute eviction causes per query.
 func (c *LRU[K, V]) evictOldest(inserter Category, now time.Time) Eviction {
-	i := c.pol.victim(&c.ord)
+	i := c.ord.tail
 	if i == nilIdx {
 		return Eviction{}
 	}
@@ -443,7 +438,7 @@ func (c *LRU[K, V]) allocSlot() int32 {
 	return int32(len(c.slab) - 1)
 }
 
-// removeSlot unfiles slot i from the wheel and the policy order, drops its
+// removeSlot unfiles slot i from the wheel and the recency order, drops its
 // index entry, zeroes the payload (so the arena does not pin the evicted
 // key/value for the garbage collector) and pushes the slot onto the free
 // chain.
@@ -451,11 +446,79 @@ func (c *LRU[K, V]) removeSlot(i int32) {
 	s := &c.slab[i]
 	delete(c.index, s.key)
 	c.whl.unfile(i)
-	c.pol.remove(&c.ord, i)
+	c.ord.unlink(i)
 	c.catCount[s.category].Add(-1)
 	var zero slot[K, V]
 	*s = zero
 	c.ord.next[i] = c.free
 	c.free = i
 	c.size.Add(-1)
+}
+
+// order is the recency list threaded through the slab: intrusive prev/next
+// links per slot, grown in lockstep with the slab. Free slots are chained
+// through next while unfiled.
+type order struct {
+	prev, next []int32
+	head, tail int32 // head = most recently used, tail = next victim
+}
+
+func (o *order) grow() {
+	o.prev = append(o.prev, nilIdx)
+	o.next = append(o.next, nilIdx)
+}
+
+func (o *order) unlink(i int32) {
+	if p := o.prev[i]; p != nilIdx {
+		o.next[p] = o.next[i]
+	} else {
+		o.head = o.next[i]
+	}
+	if n := o.next[i]; n != nilIdx {
+		o.prev[n] = o.prev[i]
+	} else {
+		o.tail = o.prev[i]
+	}
+	o.prev[i] = nilIdx
+	o.next[i] = nilIdx
+}
+
+func (o *order) pushFront(i int32) {
+	o.prev[i] = nilIdx
+	o.next[i] = o.head
+	if o.head != nilIdx {
+		o.prev[o.head] = i
+	}
+	o.head = i
+	if o.tail == nilIdx {
+		o.tail = i
+	}
+}
+
+func (o *order) pushBack(i int32) {
+	o.next[i] = nilIdx
+	o.prev[i] = o.tail
+	if o.tail != nilIdx {
+		o.next[o.tail] = i
+	}
+	o.tail = i
+	if o.head == nilIdx {
+		o.head = i
+	}
+}
+
+func (o *order) moveToFront(i int32) {
+	if o.head == i {
+		return
+	}
+	o.unlink(i)
+	o.pushFront(i)
+}
+
+func (o *order) moveToBack(i int32) {
+	if o.tail == i {
+		return
+	}
+	o.unlink(i)
+	o.pushBack(i)
 }

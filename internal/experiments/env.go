@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"dnsnoise/internal/authority"
-	"dnsnoise/internal/cache"
 	"dnsnoise/internal/chrstat"
 	"dnsnoise/internal/dnsname"
 	"dnsnoise/internal/ingest"
@@ -35,12 +34,6 @@ type Scale struct {
 	BaseEventsPerDay   int
 	Servers            int
 	CacheSize          int
-	// CachePolicy selects the eviction policy for every resolver cache in
-	// the environment (zero value = LRU, the paper's policy).
-	CachePolicy cache.PolicyKind
-	// NegCacheSize overrides the negative-cache capacity (0 keeps the
-	// historical CacheSize/4 ratio).
-	NegCacheSize int
 	// QueryLog, when non-nil, attaches the query-level event log to the
 	// environment's cluster and day runner (see internal/qlog). It never
 	// changes an experiment's output, only what is observable about it.
@@ -127,10 +120,6 @@ func NewEnv(scale Scale, opts ...EnvOption) (*Env, error) {
 	resolverOpts := []resolver.Option{
 		resolver.WithServers(scale.Servers),
 		resolver.WithCacheSize(scale.CacheSize),
-		resolver.WithCachePolicy(scale.CachePolicy),
-	}
-	if scale.NegCacheSize > 0 {
-		resolverOpts = append(resolverOpts, resolver.WithNegCacheSize(scale.NegCacheSize))
 	}
 	if scale.QueryLog != nil {
 		resolverOpts = append(resolverOpts, resolver.WithQueryLog(scale.QueryLog))

@@ -180,105 +180,6 @@ func frac64(num, den uint64) float64 {
 	return float64(num) / float64(den)
 }
 
-// CachePolicyPoint is one (policy, capacity) cell of the eviction-policy
-// sweep: the paper's disposable-vs-cache-size impact analysis re-run under
-// LRU, SIEVE and CLOCK.
-type CachePolicyPoint struct {
-	Policy             string
-	CacheSize          int
-	HitRate            float64
-	PrematureEvictions uint64  // live non-disposable victims of disposable inserts
-	DisposableShare    float64 // disposable share of all premature-eviction victims
-	WheelReclaims      uint64  // dead entries reclaimed by the timer wheel
-	NonDispMissRate    float64
-}
-
-// CachePolicySweepResult is the policy × capacity matrix.
-type CachePolicySweepResult struct {
-	DisposableFrac float64
-	Points         []CachePolicyPoint
-}
-
-// CachePolicySweep replays the same heavy disposable day under every
-// eviction policy at several cache capacities. Each cell is an independent
-// deterministic run over an identical workload (same seeds, same namespace),
-// so differences are attributable to the policy alone — the head-to-head
-// comparison behind the "when does SIEVE/CLOCK beat LRU" question at
-// capacity scale.
-func CachePolicySweep(scale Scale) (*CachePolicySweepResult, error) {
-	sizes := []int{scale.CacheSize / 256, scale.CacheSize / 64, scale.CacheSize / 16}
-	for i, s := range sizes {
-		if s < 128 {
-			sizes[i] = 128
-		}
-	}
-	const disposableFrac = 0.3
-	res := &CachePolicySweepResult{DisposableFrac: disposableFrac}
-	for _, size := range sizes {
-		for _, kind := range cache.Policies() {
-			s := scale
-			s.CacheSize = size
-			s.CachePolicy = kind
-			env, err := NewEnv(s)
-			if err != nil {
-				return nil, err
-			}
-			p := workload.DecemberProfile(dateAt(0))
-			p.DisposableFrac = disposableFrac
-			if _, err := env.RunDay(p, nil, nil); err != nil {
-				return nil, err
-			}
-			st := env.Cluster.Stats()
-			var premOD, premAll, premDisp, reclaims uint64
-			for _, cs := range env.Cluster.CacheStats() {
-				premOD += cs.PrematureEvictions[cache.CategoryOther][cache.CategoryDisposable]
-				for v := 0; v < 2; v++ {
-					for i := 0; i < 2; i++ {
-						premAll += cs.PrematureEvictions[v][i]
-					}
-				}
-				premDisp += cs.PrematureEvictions[cache.CategoryDisposable][cache.CategoryOther] +
-					cs.PrematureEvictions[cache.CategoryDisposable][cache.CategoryDisposable]
-				reclaims += cs.Reclaims
-			}
-			res.Points = append(res.Points, CachePolicyPoint{
-				Policy:             kind.String(),
-				CacheSize:          size,
-				HitRate:            frac64(st.CacheHits, st.Queries),
-				PrematureEvictions: premOD,
-				DisposableShare:    frac64(premDisp, premAll),
-				WheelReclaims:      reclaims,
-				NonDispMissRate: frac64(st.MissesByCategory[cache.CategoryOther],
-					st.QueriesByCategory[cache.CategoryOther]),
-			})
-		}
-	}
-	return res, nil
-}
-
-// Render prints the policy × capacity matrix.
-func (r *CachePolicySweepResult) Render() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Eviction-policy sweep — Section VI-A impact analysis under LRU/SIEVE/CLOCK (disposable share %s)\n",
-		pct(r.DisposableFrac))
-	header := []string{"cache", "policy", "hit rate", "premature[other<-disp]", "disp victim share", "wheel reclaims", "non-disp miss rate"}
-	var rows [][]string
-	for _, pt := range r.Points {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", pt.CacheSize), pt.Policy, pct(pt.HitRate),
-			fmt.Sprintf("%d", pt.PrematureEvictions),
-			pct(pt.DisposableShare),
-			fmt.Sprintf("%d", pt.WheelReclaims),
-			pct(pt.NonDispMissRate),
-		})
-	}
-	sb.WriteString(renderTable(header, rows))
-	sb.WriteString("expected shape: one-shot disposable entries are never re-referenced, so policies that\n")
-	sb.WriteString("spend no recency effort on them (SIEVE/CLOCK reference bits) retain useful entries\n")
-	sb.WriteString("at least as well as LRU while the cache is under live pressure\n")
-	return sb.String()
-}
-
 // Render prints the sweep table.
 func (r *CachePressureResult) Render() string {
 	var sb strings.Builder

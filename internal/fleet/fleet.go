@@ -23,7 +23,6 @@ import (
 	"sync"
 	"time"
 
-	"dnsnoise/internal/cache"
 	"dnsnoise/internal/chrstat"
 	"dnsnoise/internal/core"
 	"dnsnoise/internal/ingest"
@@ -88,11 +87,6 @@ type Config struct {
 	Servers int
 	// Cache is each server's cache capacity (resolver default when 0).
 	Cache int
-	// CachePolicy selects each server's eviction policy (zero value = LRU).
-	CachePolicy cache.PolicyKind
-	// NegCacheSize overrides the negative-cache capacity (0 keeps the
-	// resolver's Cache/4 ratio).
-	NegCacheSize int
 	// Parallel resolves through each PoP's per-server worker goroutines.
 	Parallel bool
 
@@ -219,8 +213,6 @@ func New(cfg Config) (*Fleet, error) {
 		if cfg.Cache > 0 {
 			opts = append(opts, resolver.WithCacheSize(cfg.Cache))
 		}
-		opts = append(opts, resolver.WithCachePolicy(cfg.CachePolicy),
-			resolver.WithNegCacheSize(cfg.NegCacheSize))
 		opts = append(opts, resolver.WithTelemetry(p.Registry), resolver.WithQueryLog(p.Log))
 		if p.Cluster, err = resolver.NewCluster(auth, opts...); err != nil {
 			return nil, fmt.Errorf("fleet: pop %d: %w", i, err)

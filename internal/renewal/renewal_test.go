@@ -98,7 +98,7 @@ func TestModelMatchesSimulatedCache(t *testing.T) {
 		{lambda: 0.05, ttl: 60},
 		{lambda: 1, ttl: 5},
 	} {
-		c := cache.NewLRU[string, int](16)
+		c := cache.New[string, int](16)
 		now := time.Date(2011, 12, 1, 0, 0, 0, 0, time.UTC)
 		const n = 60000
 		hits := 0

@@ -274,8 +274,6 @@ type bufferedOb struct {
 type options struct {
 	numServers    int
 	cacheSize     int
-	negCacheSize  int
-	cachePolicy   cache.PolicyKind
 	negCache      bool
 	validate      bool
 	affinity      Affinity
@@ -314,26 +312,10 @@ func WithCacheSize(n int) Option {
 	})
 }
 
-// WithCachePolicy selects the eviction policy for each server's caches
-// (default cache.PolicyLRU — the policy every paper measurement runs
-// under; SIEVE and CLOCK are for the capacity sweeps).
-func WithCachePolicy(p cache.PolicyKind) Option {
-	return optionFunc(func(o *options) { o.cachePolicy = p })
-}
-
-// WithNegCacheSize sets the negative cache capacity in entries. The default
-// (0) keeps the historical ratio of a quarter of the positive cache size.
-func WithNegCacheSize(n int) Option {
-	return optionFunc(func(o *options) {
-		if n > 0 {
-			o.negCacheSize = n
-		}
-	})
-}
-
 // WithNegativeCache enables RFC 2308 negative caching. The paper observed
 // the monitored resolvers NOT honoring it (hence 40% NXDOMAIN traffic above),
-// so the default is off.
+// so the default is off. The negative cache holds a quarter as many entries
+// as the positive cache.
 func WithNegativeCache(enabled bool) Option {
 	return optionFunc(func(o *options) { o.negCache = enabled })
 }
@@ -432,15 +414,11 @@ func NewCluster(upstream Upstream, opts ...Option) (*Cluster, error) {
 		opts:     o,
 		keys:     make(map[string]ed25519.PublicKey),
 	}
-	negSize := o.negCacheSize
-	if negSize <= 0 {
-		negSize = o.cacheSize / 4
-	}
 	for i := 0; i < o.numServers; i++ {
 		c.servers = append(c.servers, &server{
 			idx:      i,
-			cache:    cache.New[qkey, cacheValue](o.cacheSize, o.cachePolicy),
-			negCache: cache.New[qkey, negValue](negSize, o.cachePolicy),
+			cache:    cache.New[qkey, cacheValue](o.cacheSize),
+			negCache: cache.New[qkey, negValue](o.cacheSize / 4),
 			qrec:     o.qlog.NewRecorder(i), // nil log → nil recorder
 		})
 	}
