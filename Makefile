@@ -42,16 +42,18 @@ bench:
 # UDP serve packet path, live scoring, and the resolve path with a tsdb
 # sweeper attached — a short serve-throughput flood with the end-to-end
 # packet-allocation gate (plain and scored), the streaming-miner
-# intake-overhead pair, and the tsdb-sweeper overhead pair, each with its
-# calibrated gate.
+# intake-overhead pair, the tsdb-sweeper overhead pair, the cache sweep's
+# hit-allocation gate and the fleet-collector overhead pair, each with its
+# fixed gate.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkResolveCacheHit|BenchmarkResolveCacheMiss|BenchmarkPutGet|BenchmarkEvictionChurn' \
 		-benchtime=100x -benchmem ./internal/resolver/ ./internal/cache/
 	$(GO) test -run 'ZeroAlloc' -v ./internal/resolver/ ./internal/cache/ ./internal/dnsname/ ./internal/udptransport/ ./internal/livescore/ ./internal/telemetry/tsdb/
-	$(GO) run ./cmd/dnsnoise-bench -only serve -serve-duration 200ms -serve-clients 4 -max-packet-allocs 0 -out /dev/null
+	$(GO) run ./cmd/dnsnoise-bench -only serve -serve-duration 200ms -serve-clients 4 -out /dev/null
 	$(GO) run ./cmd/dnsnoise-bench -only miner -queries 20000 -out /dev/null
 	$(GO) run ./cmd/dnsnoise-bench -only tsdb -queries 20000 -out /dev/null
-	$(GO) run ./cmd/dnsnoise-bench -only cache -cache-events 20000 -cache-capacities 2048,8192 -max-hit-allocs 0 -out /dev/null
+	$(GO) run ./cmd/dnsnoise-bench -only cache -cache-events 20000 -cache-capacities 2048,8192 -out /dev/null
+	$(GO) run ./cmd/dnsnoise-bench -only fleet -fleet-events 8000 -out /dev/null
 
 clean:
 	$(GO) clean ./...

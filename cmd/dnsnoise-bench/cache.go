@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"strconv"
 	"strings"
@@ -11,7 +9,6 @@ import (
 	"time"
 
 	"dnsnoise/internal/cache"
-	"dnsnoise/internal/telemetry"
 )
 
 // cacheCell is one capacity row of the cache sweep: the slab LRU driven
@@ -132,7 +129,7 @@ func benchCacheCell(capacity, events int) cacheCell {
 
 	// Steady-state hit cost: a resident long-TTL key resolved with the same
 	// Advance-then-Get shape as the timed loop. This is the zero-allocation
-	// contract the -max-hit-allocs gate enforces.
+	// contract the cache scenario's gate enforces.
 	sentinel := "sentinel.bench.test"
 	c.Put(sentinel, v, time.Hour, cache.CategoryOther, now)
 	hitAllocs := testing.AllocsPerRun(1000, func() {
@@ -194,50 +191,15 @@ func printCacheSweep(cells []cacheCell) {
 	}
 }
 
-// checkCacheAllocGate enforces -max-hit-allocs on every cell of the sweep:
-// the zero-allocation steady-state contract holds at every capacity.
+// checkCacheAllocGate enforces the hit-allocation ceiling on every cell of
+// the sweep: the zero-allocation steady-state contract holds at every
+// capacity.
 func checkCacheAllocGate(cells []cacheCell, maxHitAllocs int64) error {
-	if maxHitAllocs < 0 {
-		return nil
-	}
 	for _, c := range cells {
 		if int64(c.HitAllocsPerOp) > maxHitAllocs {
-			return fmt.Errorf("cache hit path allocates %.2f allocs/op at capacity %d, -max-hit-allocs is %d",
-				c.HitAllocsPerOp, c.Capacity, maxHitAllocs)
+			return fmt.Errorf("%w: cache hit path allocates %.2f allocs/op at capacity %d, max %d",
+				errGate, c.HitAllocsPerOp, c.Capacity, maxHitAllocs)
 		}
 	}
 	return nil
-}
-
-// runCacheOnly is the -only cache mode: just the capacity sweep and its
-// allocation gate, sized for CI smoke via -cache-events.
-func runCacheOnly(args []string, out string, capacities []int, events int, maxHitAllocs int64) error {
-	tracer := telemetry.NewTracer()
-	span := tracer.Start("cache-sweep")
-	cells := benchCacheSweep(capacities, events)
-	span.End()
-
-	rep := report{RunReport: *telemetry.NewRunReport("dnsnoise-bench", args)}
-	rep.Queries = events
-	rep.CacheSweep = cells
-	rep.Start = tracer.Roots()[0].Start
-	rep.Finish(nil, tracer)
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if out == "-" {
-		if _, err := os.Stdout.Write(data); err != nil {
-			return err
-		}
-	} else {
-		if err := os.WriteFile(out, data, 0o644); err != nil {
-			return err
-		}
-		printCacheSweep(cells)
-		fmt.Printf("wrote %s\n", out)
-	}
-	return checkCacheAllocGate(cells, maxHitAllocs)
 }

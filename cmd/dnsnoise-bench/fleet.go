@@ -9,22 +9,20 @@ import (
 	"dnsnoise/internal/workload"
 )
 
-// Fleet-overhead scenario shape: each measurement is a whole fleet run
-// (fresh PoPs, fresh generator, one simulated day), so rounds are
-// complete runs rather than interleaved segments; the collector side
-// sweeps far faster than any real deployment would to make the cost
-// visible at all.
+// Fleet-overhead scenario shape: each reading is a whole fleet run (fresh
+// PoPs, fresh generator, one simulated day) on a small 3-PoP topology; the
+// collector side sweeps far faster than any real deployment would to make
+// the cost visible at all.
 const (
-	flPairs        = 3
-	flRounds       = 3
+	flPops         = 3
 	flCollectEvery = 10 * time.Millisecond
 )
 
-// benchFleetConfig is the scenario's fleet: a small 3-PoP topology over
-// the test-scale namespace, sized so one run takes ~100ms.
-func benchFleetConfig(pops, events int) fleet.Config {
+// benchFleetConfig is the scenario's fleet: flPops PoPs over the
+// test-scale namespace, sized so one run takes ~100ms.
+func benchFleetConfig(events int) fleet.Config {
 	return fleet.Config{
-		Pops:    pops,
+		Pops:    flPops,
 		Servers: 2,
 		Cache:   8192,
 		Registry: workload.RegistryConfig{
@@ -46,8 +44,8 @@ func benchFleetConfig(pops, events int) fleet.Config {
 // ns per resolved query, with the collector sweeping at flCollectEvery
 // when withCollector is set. Only Run is timed; fleet construction and
 // the merge-at-end views stay outside the clock.
-func fleetRunNs(pops, events int, withCollector bool) (float64, error) {
-	f, err := fleet.New(benchFleetConfig(pops, events))
+func fleetRunNs(events int, withCollector bool) (float64, error) {
+	f, err := fleet.New(benchFleetConfig(events))
 	if err != nil {
 		return 0, err
 	}
@@ -77,11 +75,11 @@ func fleetRunNs(pops, events int, withCollector bool) (float64, error) {
 }
 
 // benchFleetOverhead prices the collector: the same fleet day with the
-// sweep loop running at flCollectEvery versus not running at all,
-// compared by pairedWholeRuns. A production cadence of seconds costs a
-// small fraction of even this reading.
-func benchFleetOverhead(pops, events int) (overheadResult, error) {
-	return pairedWholeRuns(flPairs, flRounds, events, func(withCollector bool) (float64, error) {
-		return fleetRunNs(pops, events, withCollector)
-	})
+// sweep loop running at flCollectEvery versus not running at all. A
+// production cadence of seconds costs a small fraction of even this
+// reading.
+func benchFleetOverhead(e *env) (overheadResult, error) {
+	return pairedOverhead(ovPairs, wholeRunRounds, e.fleetEvents, wholeRunPair(func(withCollector bool) (float64, error) {
+		return fleetRunNs(e.fleetEvents, withCollector)
+	}))
 }

@@ -42,12 +42,12 @@ func benchPipeline(servers int) (*core.StreamingPipeline, error) {
 // Unlike the telemetry/qlog scenarios this intake is not near-zero-cost
 // by design — it runs a second CHR collector plus a synchronized dedup
 // per observation (≈95-100% on the all-hits fast path when measured on
-// the development host). The -max-miner-overhead default leaves headroom
-// over that baseline and exists to catch pathological regressions
-// (accidental O(n) scans, lock convoys), not single-digit drift.
-func benchMinerOverhead(servers int, qs []resolver.Query) (overheadResult, error) {
-	base := func() (*resolver.Cluster, error) {
-		c, err := newCluster(servers)
+// the development host). The fixed 150% gate leaves headroom over that
+// baseline and exists to catch pathological regressions (accidental O(n)
+// scans, lock convoys), not single-digit drift.
+func benchMinerOverhead(e *env) (overheadResult, error) {
+	plain := func() (*resolver.Cluster, error) {
+		c, err := newCluster()
 		if err != nil {
 			return nil, err
 		}
@@ -55,30 +55,28 @@ func benchMinerOverhead(servers int, qs []resolver.Query) (overheadResult, error
 		c.SetTaps(col.BelowTap(), col.AboveTap())
 		return c, nil
 	}
-	mkOther := func(int) func() (*resolver.Cluster, error) {
-		return func() (*resolver.Cluster, error) {
-			c, err := newCluster(servers)
-			if err != nil {
-				return nil, err
-			}
-			sp, err := benchPipeline(servers)
-			if err != nil {
-				return nil, err
-			}
-			col := chrstat.NewCollector()
-			below, above := col.BelowTap(), col.AboveTap()
-			c.SetTaps(
-				resolver.TapFunc(func(ob resolver.Observation) {
-					below.Observe(ob)
-					sp.ObserveBelow(ob)
-				}),
-				resolver.TapFunc(func(ob resolver.Observation) {
-					above.Observe(ob)
-					sp.ObserveAbove(ob)
-				}),
-			)
-			return c, nil
+	instr := func() (*resolver.Cluster, error) {
+		c, err := newCluster()
+		if err != nil {
+			return nil, err
 		}
+		sp, err := benchPipeline(benchServers)
+		if err != nil {
+			return nil, err
+		}
+		col := chrstat.NewCollector()
+		below, above := col.BelowTap(), col.AboveTap()
+		c.SetTaps(
+			resolver.TapFunc(func(ob resolver.Observation) {
+				below.Observe(ob)
+				sp.ObserveBelow(ob)
+			}),
+			resolver.TapFunc(func(ob resolver.Observation) {
+				above.Observe(ob)
+				sp.ObserveAbove(ob)
+			}),
+		)
+		return c, nil
 	}
-	return benchPairedOverhead(servers, qs, base, mkOther)
+	return pairedOverhead(ovPairs, ovRounds, len(e.qs), clusterPair(e.qs, plain, instr))
 }

@@ -19,6 +19,7 @@ import (
 	"dnsnoise/internal/core"
 	"dnsnoise/internal/dnsmsg"
 	"dnsnoise/internal/livescore"
+	"dnsnoise/internal/telemetry"
 	"dnsnoise/internal/udptransport"
 	"dnsnoise/internal/workload"
 )
@@ -173,7 +174,7 @@ func benchServe(auth udptransport.Handler, listeners, batch, clients int, dur ti
 const (
 	maxServePacket   = 4096
 	serveReadTimeout = 250 * time.Millisecond
-	// serveAllocPackets sizes the packet flood behind the -max-packet-allocs
+	// serveAllocPackets sizes the packet flood behind the packet-allocation
 	// gate: large enough that stray runtime allocations (timers, the odd
 	// background goroutine) round away, small enough for CI smoke runs.
 	serveAllocPackets = 50_000
@@ -192,28 +193,55 @@ func percentile(xs []float64, p float64) float64 {
 	return xs[idx]
 }
 
-// benchServeMatrix runs the listener/batch comparison the front door is
-// about: 1 vs min(GOMAXPROCS,4) listeners, single-packet vs batched
-// syscalls. On single-core hosts only the batch axis is informative; the
-// matrix collapses to its first row pair and the report's Note says so.
-func benchServeMatrix(auth udptransport.Handler, clients int, dur time.Duration, batch int, wires [][]byte) ([]serveResult, error) {
-	maxL := runtime.GOMAXPROCS(0)
-	if maxL > 4 {
-		maxL = 4
+// measureServe runs the listener/batch comparison the front door is
+// about — 1 vs min(GOMAXPROCS,4) listeners, single-packet vs batched
+// syscalls (on single-core hosts only the batch axis is informative, so
+// the matrix collapses to its first row pair) — then both packet-alloc
+// floods.
+func measureServe(e *env, _ *telemetry.Span) error {
+	reg, wires, err := serveWorkload(4096)
+	if err != nil {
+		return fmt.Errorf("serve workload: %w", err)
 	}
+	auth, err := reg.BuildAuthority(nil, nil)
+	if err != nil {
+		return fmt.Errorf("serve authority: %w", err)
+	}
+	maxL := min(runtime.GOMAXPROCS(0), 4)
+	batch := udptransport.DefaultBatch
 	cells := [][2]int{{1, 1}, {1, batch}}
 	if maxL > 1 {
 		cells = append(cells, [2]int{maxL, 1}, [2]int{maxL, batch})
 	}
-	var out []serveResult
 	for _, cell := range cells {
-		res, err := benchServe(auth, cell[0], cell[1], clients, dur, wires)
+		res, err := benchServe(auth, cell[0], cell[1], e.serveClients, e.serveDuration, wires)
 		if err != nil {
-			return nil, fmt.Errorf("serve %d listeners batch %d: %w", cell[0], cell[1], err)
+			return fmt.Errorf("serve %d listeners batch %d: %w", cell[0], cell[1], err)
 		}
-		out = append(out, res)
+		e.rep.ServeThroughput = append(e.rep.ServeThroughput, res)
 	}
-	return out, nil
+	alloc, err := benchServePacketAlloc(false)
+	if err != nil {
+		return fmt.Errorf("serve alloc: %w", err)
+	}
+	scored, err := benchServePacketAlloc(true)
+	if err != nil {
+		return fmt.Errorf("scored serve alloc: %w", err)
+	}
+	e.rep.ServePacketAlloc, e.rep.ServePacketAllocScored = &alloc, &scored
+	return nil
+}
+
+// printServe renders the serve matrix and the packet-alloc readings.
+func printServe(rep *report) {
+	for _, r := range rep.ServeThroughput {
+		fmt.Printf("serve %dL/%db:  %8.0f qps, p50 %6.0f us, p99 %6.0f us, drop %.2f%% (%d clients)\n",
+			r.Listeners, r.Batch, r.QPS, r.P50Us, r.P99Us, 100*r.DropRate, r.Clients)
+	}
+	fmt.Printf("serve alloc: %.3f allocs/op, %.1f B/op end to end (%d packets)\n",
+		rep.ServePacketAlloc.AllocsPerOp, rep.ServePacketAlloc.BytesPerOp, rep.ServePacketAlloc.Packets)
+	fmt.Printf("scored alloc: %.3f allocs/op, %.1f B/op end to end (%d packets)\n",
+		rep.ServePacketAllocScored.AllocsPerOp, rep.ServePacketAllocScored.BytesPerOp, rep.ServePacketAllocScored.Packets)
 }
 
 // echoWire is the zero-allocation handler behind the packet-alloc gate:
@@ -304,17 +332,28 @@ func benchServePacketAlloc(scored bool) (servePacketAlloc, error) {
 	return res, nil
 }
 
-// checkPacketAllocGate enforces -max-packet-allocs. Readings are rounded
-// to the nearest whole allocation first: a handful of stray runtime
-// allocations across tens of thousands of packets is measurement floor,
-// a systematic per-packet allocation is not.
-func checkPacketAllocGate(what string, alloc servePacketAlloc, max int64) error {
-	if max < 0 {
-		return nil
+// checkServeGate fails the serve scenario when a matrix cell got no reply
+// at all, or when either packet-allocation reading exceeds maxAllocs.
+func checkServeGate(rep *report, maxAllocs int64) error {
+	for _, c := range rep.ServeThroughput {
+		if c.Received == 0 {
+			return fmt.Errorf("%w: serve %dL/%db received no replies (%d sent)", errGate, c.Listeners, c.Batch, c.Sent)
+		}
 	}
-	if rounded := math.Round(alloc.AllocsPerOp); rounded > float64(max) {
-		return fmt.Errorf("%s allocates %.3f allocs/op (%.1f B/op), -max-packet-allocs is %d",
-			what, alloc.AllocsPerOp, alloc.BytesPerOp, max)
+	if err := checkPacketAllocGate("serve packet path", *rep.ServePacketAlloc, maxAllocs); err != nil {
+		return err
+	}
+	return checkPacketAllocGate("scored serve packet path", *rep.ServePacketAllocScored, maxAllocs)
+}
+
+// checkPacketAllocGate enforces a packet-allocation ceiling. Readings are
+// rounded to the nearest whole allocation first: a handful of stray
+// runtime allocations across tens of thousands of packets is measurement
+// floor, a systematic per-packet allocation is not.
+func checkPacketAllocGate(what string, alloc servePacketAlloc, maxAllocs int64) error {
+	if rounded := math.Round(alloc.AllocsPerOp); rounded > float64(maxAllocs) {
+		return fmt.Errorf("%w: %s allocates %.3f allocs/op (%.1f B/op), max %d",
+			errGate, what, alloc.AllocsPerOp, alloc.BytesPerOp, maxAllocs)
 	}
 	return nil
 }

@@ -1,9 +1,6 @@
 package main
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
 	"time"
 
 	"dnsnoise/internal/resolver"
@@ -12,8 +9,8 @@ import (
 	"dnsnoise/internal/telemetry/tsdb"
 )
 
-// Tsdb-overhead scenario shape: each measurement is a whole fresh run —
-// an instrumented cluster warmed to steady state, then tsPasses all-hit
+// Tsdb-overhead scenario shape: each reading is a whole fresh run — an
+// instrumented cluster warmed to steady state, then ovSegPasses all-hit
 // passes over the day — with the tsdb sweeper + default-rules alert
 // engine running at a pathological cadence on the instrumented side.
 // Both sides carry a live telemetry registry, so the ratio prices the
@@ -21,27 +18,21 @@ import (
 // derived-series math, rule evaluation), not the instrumentation under
 // it. The contract being checked: the sweeper reads the same lock-striped
 // scrape path /metrics uses, so the resolve hot path never sees it.
-const (
-	tsPairs      = 3
-	tsRounds     = 3
-	tsPasses     = 3
-	tsSweepEvery = 5 * time.Millisecond
-)
+const tsSweepEvery = 5 * time.Millisecond
 
-// tsdbRunNs runs one measurement: ns per resolved query over tsPasses
+// tsdbRunNs runs one measurement: ns per resolved query over ovSegPasses
 // steady-state passes, with the sweep loop live when withTsdb is set.
 // Only the passes are timed; construction, warmup, and sweeper teardown
 // stay outside the clock.
-func tsdbRunNs(servers int, qs []resolver.Query, withTsdb bool) (float64, error) {
+func tsdbRunNs(qs []resolver.Query, withTsdb bool) (float64, error) {
 	reg := telemetry.NewRegistry()
-	c, err := newCluster(servers, resolver.WithTelemetry(reg))
+	c, err := newCluster(resolver.WithTelemetry(reg))
 	if err != nil {
 		return 0, err
 	}
-	for _, q := range qs { // warm: fills every cache, later passes all-hit
-		if _, err := c.Resolve(q); err != nil {
-			return 0, err
-		}
+	// Warm: fills every cache, so the timed passes are all hits.
+	if _, err := timePasses(c, qs, 1); err != nil {
+		return 0, err
 	}
 	if withTsdb {
 		db := tsdb.New(tsdb.Config{})
@@ -51,62 +42,15 @@ func tsdbRunNs(servers int, qs []resolver.Query, withTsdb bool) (float64, error)
 		sw.Start()
 		defer sw.Stop()
 	}
-	start := time.Now()
-	for p := 0; p < tsPasses; p++ {
-		for _, q := range qs {
-			if _, err := c.Resolve(q); err != nil {
-				return 0, err
-			}
-		}
-	}
-	elapsed := time.Since(start)
-	return float64(elapsed.Nanoseconds()) / float64(tsPasses*len(qs)), nil
+	return timePasses(c, qs, ovSegPasses)
 }
 
 // benchTsdbOverhead prices continuous telemetry end to end: the same
 // steady-state day with the tsdb sweeper and alert engine at tsSweepEvery
-// versus without, compared by pairedWholeRuns. A production -tsdb-interval
-// of a second sweeps 200x less often than this reading.
-func benchTsdbOverhead(servers int, qs []resolver.Query) (overheadResult, error) {
-	return pairedWholeRuns(tsPairs, tsRounds, len(qs), func(withTsdb bool) (float64, error) {
-		return tsdbRunNs(servers, qs, withTsdb)
-	})
-}
-
-// runTsdbOnly is the -only tsdb mode: just the continuous-telemetry
-// overhead pair and its gate, sized for CI smoke via -queries.
-func runTsdbOnly(args []string, out string, servers, queries int, maxTsOv float64) error {
-	tracer := telemetry.NewTracer()
-	span := tracer.Start("tsdb-overhead")
-	ov, err := benchTsdbOverhead(servers, benchQueries(queries))
-	if err != nil {
-		return fmt.Errorf("tsdb overhead benchmark: %w", err)
-	}
-	span.End()
-
-	rep := report{RunReport: *telemetry.NewRunReport("dnsnoise-bench", args)}
-	rep.Servers = servers
-	rep.Queries = queries
-	rep.TsdbOverhead = &ov
-	rep.Start = tracer.Roots()[0].Start
-	rep.Finish(nil, tracer)
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if out == "-" {
-		if _, err := os.Stdout.Write(data); err != nil {
-			return err
-		}
-	} else {
-		if err := os.WriteFile(out, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("tsdb:       %+.2f%% overhead, ±%.2f%% noise (%.1f -> %.1f ns/op, %d pairs)\n",
-			ov.OverheadPct, ov.NoisePct, ov.PlainNsPerOp, ov.InstrumentedNsPerOp, ov.Pairs)
-		fmt.Printf("wrote %s\n", out)
-	}
-	return checkOverheadGate("tsdb sweeper", "-max-tsdb-overhead", ov, maxTsOv)
+// versus without. A production -tsdb-interval of a second sweeps 200x
+// less often than this reading.
+func benchTsdbOverhead(e *env) (overheadResult, error) {
+	return pairedOverhead(ovPairs, wholeRunRounds, len(e.qs), wholeRunPair(func(withTsdb bool) (float64, error) {
+		return tsdbRunNs(e.qs, withTsdb)
+	}))
 }

@@ -48,6 +48,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *events < 1 {
+		return fmt.Errorf("-events must be >= 1 (got %d)", *events)
+	}
 
 	reg := workload.NewRegistry(workload.RegistryConfig{
 		Seed:               *seed,

@@ -60,6 +60,16 @@ func TestRunRejectsUnknownProfile(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNonPositiveEvents pins the flag check: 0 used to mean the
+// 200,000 default and a negative count panicked in the generator.
+func TestRunRejectsNonPositiveEvents(t *testing.T) {
+	for _, n := range []string{"0", "-5"} {
+		if err := run([]string{"-events", n, "-out", filepath.Join(t.TempDir(), "x")}); err == nil {
+			t.Errorf("-events %s should fail", n)
+		}
+	}
+}
+
 func TestSelectProfilesDayFloor(t *testing.T) {
 	ps, err := workload.SelectProfiles("december", 0)
 	if err != nil || len(ps) != 1 {

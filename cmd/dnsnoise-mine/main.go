@@ -104,6 +104,9 @@ func run(args []string, stdout io.Writer) error {
 	if *verifyExp != "" {
 		return runVerifyExplain(*verifyExp, stdout)
 	}
+	if *events < 1 {
+		return fmt.Errorf("-events must be >= 1 (got %d)", *events)
+	}
 	if *tracePath == "" && !*live {
 		return fmt.Errorf("missing -trace (generate one with dnsnoise-gen, or pass -live to generate in-process)")
 	}

@@ -68,6 +68,9 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *events < 1 {
+		return fmt.Errorf("-events must be >= 1 (got %d)", *events)
+	}
 	if *explain != "" && !*collapse {
 		return fmt.Errorf("-explain requires -collapse (the mining pass produces the records)")
 	}

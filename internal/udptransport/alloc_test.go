@@ -46,7 +46,7 @@ func newProcessHarness(t *testing.T, h Handler, wire []byte) *listenerWorker {
 // the caller-owned response buffer, truncation — at zero heap allocations,
 // the contract that lets the front door run at wire speed without GC
 // pressure. (The syscall layer is preallocated separately; the end-to-end
-// gate lives in dnsnoise-bench -max-packet-allocs.)
+// gate lives in the serve scenario of dnsnoise-bench.)
 func TestServePacketPathZeroAlloc(t *testing.T) {
 	wire, err := dnsmsg.NewQuery(0x1234, "host.zone.example", dnsmsg.TypeA).Encode()
 	if err != nil {
